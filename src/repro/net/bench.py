@@ -33,18 +33,50 @@ def percentile(values: list[float], fraction: float) -> float:
     return ordered[rank]
 
 
+#: Where :func:`pick_base_port` draws from: above the privileged and
+#: well-known service ports, within the 16-bit port space.
+PORT_FLOOR = 20000
+PORT_CEILING = 65535
+#: The kernel's ephemeral range when it cannot be read: Linux's default
+#: (32768-60999) joined with the IANA dynamic range (49152-65535).
+DEFAULT_EPHEMERAL_RANGE = (32768, 65535)
+
+
+def ephemeral_port_range() -> tuple[int, int]:
+    """The inclusive range the kernel assigns outbound connections from."""
+    try:
+        with open("/proc/sys/net/ipv4/ip_local_port_range", encoding="ascii") as handle:
+            low, high = (int(field) for field in handle.read().split())
+        return low, high
+    except (OSError, ValueError):
+        return DEFAULT_EPHEMERAL_RANGE
+
+
 def pick_base_port(count: int, attempts: int = 64) -> int:
     """A base port with ``count`` consecutive free TCP ports above it.
 
-    Raciness is inherent (another process can grab a port between probe
-    and bind); the launcher surfaces that as a node failing to come ready,
-    and callers retry with a fresh range.
+    The range never overlaps the kernel's ephemeral range: a node's
+    outbound dial takes its local port from there, and could otherwise
+    take a port of the range before the node meant to listen on it binds.
+    Raciness with other programs remains (another process can grab a port
+    between probe and bind); the launcher surfaces that as a node failing
+    to come ready, and callers retry with a fresh range.
     """
     import random
 
+    low, high = ephemeral_port_range()
+    # Candidate bases below the ephemeral range, then above it.
+    bases = [
+        *range(PORT_FLOOR, min(low, PORT_CEILING + 1) - count + 1),
+        *range(max(high + 1, PORT_FLOOR), PORT_CEILING + 1 - count + 1),
+    ]
+    if not bases:
+        raise RuntimeError(
+            f"no range of {count} ports outside the ephemeral range {low}-{high}"
+        )
     rng = random.Random(os.getpid() ^ int(time.time() * 1000))
     for _ in range(attempts):
-        base = rng.randrange(20000, 60000 - count)
+        base = rng.choice(bases)
         sockets = []
         try:
             for offset in range(count):

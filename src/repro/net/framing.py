@@ -21,8 +21,11 @@ from __future__ import annotations
 
 import struct
 
-MAGIC = b"RPN1"
+#: Also names the datagram format inside the body: a peer speaking another
+#: format fails the magic check and is dropped as a bad stream.
+MAGIC = b"RPN2"
 HEADER_SIZE = len(MAGIC) + 4
+_HEADER = struct.Struct(">4sI")
 #: Default ceiling on one frame's body. Queue-state snapshots are the
 #: largest payloads in the system; 16 MiB leaves headroom over the 4 MiB
 #: default MessageQueue bound while still refusing absurd claims.
@@ -41,15 +44,22 @@ def encode_frame(body: bytes, max_frame_bytes: int = DEFAULT_MAX_FRAME) -> bytes
         raise FrameError(
             f"frame body {len(body)} bytes exceeds limit {max_frame_bytes}"
         )
-    return MAGIC + struct.pack(">I", len(body)) + body
+    return _HEADER.pack(MAGIC, len(body)) + body
 
 
 class FrameDecoder:
-    """Incremental frame reassembly over an arbitrary read chunking."""
+    """Incremental frame reassembly over an arbitrary read chunking.
+
+    Whole frames are sliced straight out of the read that carries them;
+    only a trailing partial frame is copied into the buffer, and a buffered
+    frame is reassembled once, when the read that completes it arrives.
+    """
 
     def __init__(self, max_frame_bytes: int = DEFAULT_MAX_FRAME) -> None:
         self.max_frame_bytes = max_frame_bytes
         self._buffer = bytearray()
+        # Buffered bytes needed before the next frame can complete.
+        self._need = HEADER_SIZE
         self.frames_decoded = 0
 
     @property
@@ -63,23 +73,34 @@ class FrameDecoder:
         Raises :class:`FrameError` on bad magic or an oversize length
         claim; the caller must treat the stream as dead afterwards.
         """
-        self._buffer.extend(data)
+        if self._buffer:
+            self._buffer += data
+            if len(self._buffer) < self._need:
+                return []
+            data = bytes(self._buffer)
+            self._buffer.clear()
+        elif type(data) is not bytes:
+            data = bytes(data)
         frames: list[bytes] = []
+        pos, size = 0, len(data)
         while True:
-            if len(self._buffer) < HEADER_SIZE:
+            if size - pos < HEADER_SIZE:
+                self._need = HEADER_SIZE
                 break
-            if self._buffer[: len(MAGIC)] != MAGIC:
-                raise FrameError(
-                    f"bad frame magic {bytes(self._buffer[:len(MAGIC)])!r}"
-                )
-            (length,) = struct.unpack_from(">I", self._buffer, len(MAGIC))
+            magic, length = _HEADER.unpack_from(data, pos)
+            if magic != MAGIC:
+                raise FrameError(f"bad frame magic {magic!r}")
             if length > self.max_frame_bytes:
                 raise FrameError(
                     f"frame claims {length} bytes, limit {self.max_frame_bytes}"
                 )
-            if len(self._buffer) < HEADER_SIZE + length:
+            end = pos + HEADER_SIZE + length
+            if end > size:
+                self._need = HEADER_SIZE + length
                 break  # truncated: wait for more bytes
-            frames.append(bytes(self._buffer[HEADER_SIZE : HEADER_SIZE + length]))
-            del self._buffer[: HEADER_SIZE + length]
-            self.frames_decoded += 1
+            frames.append(data[pos + HEADER_SIZE : end])
+            pos = end
+        if pos < size:
+            self._buffer += memoryview(data)[pos:]
+        self.frames_decoded += len(frames)
         return frames

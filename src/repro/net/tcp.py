@@ -1,20 +1,25 @@
 """The asyncio TCP transport: real sockets under the protocol stack.
 
 One :class:`AsyncioTransport` serves one OS process. It listens on the
-process's own topology address and keeps one outbound link per peer:
+process's own topology address and keeps one outbound link per peer. The
+per-frame path is callbacks, not tasks: inbound bytes go from
+``asyncio.Protocol.data_received`` straight into the frame decoder and
+:meth:`AsyncioTransport._handle_frame`, and an outbound frame is written
+at once to its link's socket.
 
 * **framing** — every datagram is one length-prefixed frame
   (:mod:`repro.net.framing`) whose body is an addressed, wire-encoded
   payload (:mod:`repro.net.wire`);
-* **reconnect** — outbound links dial lazily and redial on failure with
-  capped exponential backoff; the frame being sent when a link dies is
-  retried on the new connection (no reorder, at-least-once — protocol
-  layers dedup);
-* **backpressure** — each link owns a bounded send queue; the writer task
-  awaits ``drain()`` so a slow peer backs the queue up, and when the queue
-  is full the *newest* frame is dropped and counted. Dropping (rather than
-  blocking the single-threaded protocol loop) is exactly the wire's §2.2
-  contract: loss is allowed, retransmission is the protocol's job;
+* **reconnect** — outbound links dial eagerly and redial on loss with
+  capped exponential backoff; a frame written into a link that turns out
+  to be dying is retried on the new connection (no reorder,
+  at-least-once — protocol layers dedup);
+* **backpressure** — each link owns a bounded send queue, used only while
+  the link is dialing or while its socket write buffer is over
+  :data:`WRITE_BUFFER_HIGH`. When the queue is full the *newest* frame is
+  dropped and counted. Dropping (rather than blocking the single-threaded
+  protocol loop) is exactly the wire's §2.2 contract: loss is allowed,
+  retransmission is the protocol's job;
 * **hardening** — inbound streams that desynchronise, claim oversize
   frames, or carry undecodable datagrams are dropped at the frame layer
   with a counter; a Byzantine peer cannot crash the reader.
@@ -23,6 +28,7 @@ process's own topology address and keeps one outbound link per peer:
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from typing import Any, Callable
 
 from repro.net.faults import NetFaultInjector
@@ -33,10 +39,13 @@ from repro.net.wire import WireCodecError, decode_datagram, encode_datagram
 #: Reconnect backoff: BASE * 2^attempt, capped.
 RECONNECT_BASE = 0.05
 RECONNECT_CAP = 2.0
+#: A link's socket write buffer above this many bytes pauses direct writes;
+#: frames then wait in the link's bounded queue until it drains.
+WRITE_BUFFER_HIGH = 64 * 1024
 
 
-class _PeerLink:
-    """One outbound connection: bounded queue + reconnecting writer task."""
+class _PeerLink(asyncio.Protocol):
+    """One outbound connection: direct writes, a bounded queue, redial."""
 
     def __init__(
         self, transport: "AsyncioTransport", pid: str, host: str, port: int
@@ -45,69 +54,120 @@ class _PeerLink:
         self.pid = pid
         self.host = host
         self.port = port
-        self.queue: asyncio.Queue[bytes] = asyncio.Queue(
-            maxsize=transport.queue_limit
-        )
+        self.queue: deque[bytes] = deque()
         self.connected = asyncio.Event()
-        self.writer: asyncio.StreamWriter | None = None
+        self.sock: asyncio.WriteTransport | None = None
+        self.paused = False
+        self.closed = False
         self._ever_connected = False
-        self.task = transport.loop.create_task(self._run(), name=f"link:{pid}")
+        self.task = transport.loop.create_task(self._dial(), name=f"link:{pid}")
 
-    async def _connect(self) -> asyncio.StreamWriter:
+    async def _dial(self) -> None:
         attempt = 0
         while True:
             try:
-                _reader, writer = await asyncio.open_connection(self.host, self.port)
-                if self._ever_connected:
-                    self.transport.stats["reconnects"] += 1
-                self._ever_connected = True
-                self.connected.set()
-                return writer
+                await self.transport.loop.create_connection(
+                    lambda: self, self.host, self.port
+                )
+                return
             except OSError:
-                self.connected.clear()
                 delay = min(RECONNECT_BASE * (2**attempt), RECONNECT_CAP)
                 attempt += 1
                 await asyncio.sleep(delay)
 
-    async def _run(self) -> None:
-        frame: bytes | None = None
-        try:
-            while True:
-                # Dial eagerly — the readiness barrier (ensure_links) waits
-                # on the connection, not on the first frame.
-                if self.writer is None:
-                    self.writer = await self._connect()
-                if frame is None:
-                    frame = await self.queue.get()
-                try:
-                    self.writer.write(frame)
-                    await self.writer.drain()
-                except (OSError, ConnectionError):
-                    # Link died mid-frame: redial and retry this frame.
-                    self._drop_writer()
-                    continue
-                self.transport.stats["frames_sent"] += 1
-                self.transport.stats["bytes_sent"] += len(frame)
-                frame = None
-        except asyncio.CancelledError:
-            self._drop_writer()
-            raise
+    # -- asyncio.Protocol callbacks ----------------------------------------
 
-    def _drop_writer(self) -> None:
+    def connection_made(self, sock: asyncio.BaseTransport) -> None:
+        sock.set_write_buffer_limits(high=WRITE_BUFFER_HIGH)
+        if self._ever_connected:
+            self.transport.stats["reconnects"] += 1
+        self._ever_connected = True
+        self.sock = sock
+        self.paused = False
+        self.connected.set()
+        self._flush()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.sock = None
         self.connected.clear()
-        if self.writer is not None:
-            try:
-                self.writer.close()
-            except Exception:  # noqa: BLE001 - already dead
-                pass
-            self.writer = None
+        if not self.closed:
+            self.task = self.transport.loop.create_task(
+                self._dial(), name=f"link:{self.pid}"
+            )
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self._flush()
+
+    # -- sending ------------------------------------------------------------
+
+    def _write(self, frame: bytes) -> bool:
+        """Hand ``frame`` to the socket; False if the link is dying."""
+        sock = self.sock
+        sock.write(frame)
+        if sock.is_closing():
+            # Peer gone (EOF or a failed send): keep the frame for the
+            # connection the redial will make.
+            return False
+        stats = self.transport.stats
+        stats["frames_sent"] += 1
+        stats["bytes_sent"] += len(frame)
+        return True
+
+    def _flush(self) -> None:
+        queue = self.queue
+        while queue and not self.paused and self.sock is not None:
+            if not self._write(queue[0]):
+                return
+            queue.popleft()
 
     def enqueue(self, frame: bytes) -> bool:
-        try:
-            self.queue.put_nowait(frame)
-            return True
-        except asyncio.QueueFull:
+        if self.sock is not None and not self.paused and not self.queue:
+            if self._write(frame):
+                return True
+        if len(self.queue) >= self.transport.queue_limit:
             return False
+        self.queue.append(frame)
+        return True
+
+    def close(self) -> None:
+        self.closed = True
+        self.task.cancel()
+        if self.sock is not None:
+            self.sock.abort()
+
+
+class _InboundStream(asyncio.Protocol):
+    """One accepted connection: bytes → frames → datagrams, in the callback."""
+
+    def __init__(self, transport: "AsyncioTransport") -> None:
+        self.transport = transport
+        self.decoder = FrameDecoder(max_frame_bytes=transport.max_frame_bytes)
+        self.sock: asyncio.BaseTransport | None = None
+
+    def connection_made(self, sock: asyncio.BaseTransport) -> None:
+        self.sock = sock
+        self.transport._inbound.add(sock)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.transport._inbound.discard(self.sock)
+
+    def data_received(self, data: bytes) -> None:
+        transport = self.transport
+        transport.stats["bytes_received"] += len(data)
+        try:
+            frames = self.decoder.feed(data)
+        except FrameError:
+            # Desynchronised or hostile stream: kill the connection; the
+            # peer's link will redial with a fresh decoder.
+            transport.stats["recv_dropped_bad_frame"] += 1
+            self.sock.abort()
+            return
+        for body in frames:
+            transport._handle_frame(body)
 
 
 class AsyncioTransport(Transport):
@@ -132,7 +192,7 @@ class AsyncioTransport(Transport):
         self.queue_limit = queue_limit
         self._links: dict[str, _PeerLink] = {}
         self._server: asyncio.base_events.Server | None = None
-        self._reader_tasks: set[asyncio.Task] = set()
+        self._inbound: set[asyncio.BaseTransport] = set()
         self.stats: dict[str, int] = {
             "frames_sent": 0,
             "frames_received": 0,
@@ -150,38 +210,9 @@ class AsyncioTransport(Transport):
 
     async def start(self) -> None:
         host, port = self.address_book[self.own_pid]
-        self._server = await asyncio.start_server(self._serve_peer, host, port)
-
-    async def _serve_peer(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._reader_tasks.add(task)
-            task.add_done_callback(self._reader_tasks.discard)
-        decoder = FrameDecoder(max_frame_bytes=self.max_frame_bytes)
-        try:
-            while True:
-                data = await reader.read(64 * 1024)
-                if not data:
-                    return
-                self.stats["bytes_received"] += len(data)
-                try:
-                    frames = decoder.feed(data)
-                except FrameError:
-                    # Desynchronised or hostile stream: kill the connection;
-                    # the peer's link will redial with a fresh decoder.
-                    self.stats["recv_dropped_bad_frame"] += 1
-                    return
-                for body in frames:
-                    self._handle_frame(body)
-        except (OSError, ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            try:
-                writer.close()
-            except Exception:  # noqa: BLE001 - already dead
-                pass
+        self._server = await self.loop.create_server(
+            lambda: _InboundStream(self), host, port
+        )
 
     def _handle_frame(self, body: bytes) -> None:
         try:
@@ -208,10 +239,16 @@ class AsyncioTransport(Transport):
         return link
 
     def transmit(
-        self, src: str, dst: str, payload: Any, size: int, extra_delay: float
+        self,
+        src: str,
+        dst: str,
+        payload: Any,
+        size: int,
+        extra_delay: float,
+        wire: bytes | None = None,
     ) -> None:
         frame = encode_frame(
-            encode_datagram(src, dst, payload), max_frame_bytes=self.max_frame_bytes
+            encode_datagram(src, dst, payload, wire), max_frame_bytes=self.max_frame_bytes
         )
         delay = extra_delay
         if self.faults is not None:
@@ -224,6 +261,11 @@ class AsyncioTransport(Transport):
             self.loop.call_later(delay, self._enqueue, dst, frame)
         else:
             self._enqueue(dst, frame)
+
+    def transmit_encoded(
+        self, src: str, dst: str, payload: Any, size: int, wire: bytes
+    ) -> None:
+        self.transmit(src, dst, payload, size, 0.0, wire)
 
     def _enqueue(self, dst: str, frame: bytes) -> None:
         link = self._link_for(dst)
@@ -276,18 +318,21 @@ class AsyncioTransport(Transport):
         return sum(1 for link in self._links.values() if link.connected.is_set())
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, cancel links and readers."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Graceful shutdown: stop accepting, close links and inbound streams."""
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        for link in self._links.values():
+            link.close()
+        for sock in list(self._inbound):
+            sock.abort()
         tasks = [link.task for link in self._links.values()]
-        tasks.extend(self._reader_tasks)
-        for task in tasks:
-            task.cancel()
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
         self._links.clear()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        if server is not None:
+            await server.wait_closed()
+        # Let the aborted sockets' connection_lost callbacks run.
+        await asyncio.sleep(0)
 
     def close(self) -> None:
         """Sync best-effort close (Transport interface); prefer ``stop``."""

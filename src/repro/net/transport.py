@@ -39,6 +39,20 @@ class Transport(ABC):
         """Carry one payload toward ``dst``. Loss after this point is the
         transport's own (modelled or physical) behaviour."""
 
+    def transmit_encoded(
+        self,
+        src: "ProcessId",
+        dst: "ProcessId",
+        payload: Any,
+        size: int,
+        wire: bytes,
+    ) -> None:
+        """:meth:`transmit` for a payload the caller already encoded with
+        :func:`repro.net.wire.encode_wire_payload`, so a multicast encodes
+        once for all its members. Transports that carry objects rather than
+        bytes ignore ``wire``."""
+        self.transmit(src, dst, payload, size, 0.0)
+
     def close(self) -> None:
         """Release transport resources (sockets, queues). Default: nothing."""
 

@@ -8,7 +8,8 @@ attribute surface a :class:`~repro.sim.process.Process` touches
 ``stats``) but with sends routed to a :class:`Transport` and timers on the
 wall clock. Multicast is fan-out unicast over the topology's group map —
 IP multicast loopback semantics included: the sender receives its own
-copy iff it is a member, which the BFT layer relies on.
+copy iff it is a member, which the BFT layer relies on. A multicast
+encodes its payload and computes its size once, not once per member.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Any
 
 from repro.net.clock import RealTimeScheduler
 from repro.net.transport import Transport
+from repro.net.wire import encode_wire_payload
 from repro.obs.telemetry import NOOP_TELEMETRY, Telemetry
 from repro.sim.network import TrafficStats, payload_size
 from repro.sim.process import Process, ProcessId
@@ -36,7 +38,7 @@ class NetWorld:
     ) -> None:
         self.scheduler = scheduler
         self.transport = transport
-        self.groups = dict(groups)
+        self.groups = {addr: tuple(sorted(members)) for addr, members in groups.items()}
         self.trace = TraceRecorder()
         self.trace.enabled = False
         self.stats = TrafficStats()
@@ -60,24 +62,32 @@ class NetWorld:
     # -- transmission -------------------------------------------------------
 
     def send(self, src: ProcessId, dst: ProcessId, payload: Any) -> None:
-        self.stats.messages_sent += 1
-        size = payload_size(payload)
-        self.stats.bytes_sent += size
-        if self.hosted is not None and dst == self.hosted.pid:
-            # Self-send: stay off the wire, but keep the asynchrony — the
-            # simulator never delivers re-entrantly and protocol code
-            # (quorum counting mid-handler) relies on that.
-            self.scheduler.schedule(0.0, lambda: self.deliver(src, payload))
-            return
-        self.transport.transmit(src, dst, payload, size, 0.0)
+        self._send(src, dst, payload, payload_size(payload), None)
 
     def multicast(self, src: ProcessId, group_addr: str, payload: Any) -> None:
         members = self.groups.get(group_addr)
         if members is None:
             raise KeyError(f"unknown multicast address {group_addr!r}")
         self.stats.multicasts_sent += 1
-        for member in sorted(members):
-            self.send(src, member, payload)
+        size = payload_size(payload)
+        wire = encode_wire_payload(payload)
+        for member in members:
+            self._send(src, member, payload, size, wire)
+
+    def _send(
+        self, src: ProcessId, dst: ProcessId, payload: Any, size: int, wire: bytes | None
+    ) -> None:
+        self.stats.messages_sent += 1
+        self.stats.bytes_sent += size
+        if self.hosted is not None and dst == self.hosted.pid:
+            # Self-send: stay off the wire, but keep the asynchrony — the
+            # simulator never delivers re-entrantly and protocol code
+            # (quorum counting mid-handler) relies on that.
+            self.scheduler.schedule(0.0, lambda: self.deliver(src, payload))
+        elif wire is None:
+            self.transport.transmit(src, dst, payload, size, 0.0)
+        else:
+            self.transport.transmit_encoded(src, dst, payload, size, wire)
 
     # -- inbound ------------------------------------------------------------
 

@@ -212,3 +212,44 @@ def test_queue_full_drops_newest():
         return dropped
 
     assert asyncio.run(scenario()) >= 2
+
+
+def test_peer_that_never_reads_is_bounded_by_backpressure():
+    """Direct writes stop at the socket write-buffer bound; the excess
+    waits in the bounded queue and then drops newest, counted."""
+    from repro.net.tcp import WRITE_BUFFER_HIGH
+
+    offered, payload, queue_limit = 2000, b"x" * 8192, 8
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        # Accepts, never reads; small kernel buffers fill fast.
+        listener = socket.socket()
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+        listener.setblocking(False)
+        book = {"a": ("127.0.0.1", free_ports(1)[0]), "b": listener.getsockname()}
+        a = AsyncioTransport("a", book, loop, lambda s, p: None, queue_limit=queue_limit)
+        await a.ensure_links(["b"], timeout=5.0)
+        silent, _ = await loop.sock_accept(listener)
+        link = a._links["b"]
+        frame_size = None
+        worst = 0
+        for _ in range(offered):
+            a.transmit("a", "b", payload, 0, 0.0)
+            frame_size = frame_size or a.stats["bytes_sent"]
+            buffered = link.sock.get_write_buffer_size() + sum(map(len, link.queue))
+            worst = max(worst, buffered)
+        queued = len(link.queue)
+        stats = dict(a.stats)
+        await a.stop()
+        silent.close()
+        listener.close()
+        return stats, queued, worst, frame_size
+
+    stats, queued, worst, frame_size = asyncio.run(scenario())
+    assert worst <= WRITE_BUFFER_HIGH + (1 + queue_limit) * frame_size
+    assert queued == queue_limit
+    assert stats["sends_dropped_queue_full"] > 0
+    assert stats["frames_sent"] + queued + stats["sends_dropped_queue_full"] == offered
