@@ -58,10 +58,6 @@ class CdrEncoder:
         if remainder:
             self._buffer.extend(b"\x00" * (size - remainder))
 
-    def write_raw(self, data: bytes) -> None:
-        """Unaligned raw octets (used for already-encoded bodies)."""
-        self._buffer.extend(data)
-
     def write_primitive(self, kind: str, value: Any) -> None:
         if kind in _INT_FORMATS:
             fmt, size = _INT_FORMATS[kind]

@@ -381,10 +381,6 @@ class ItdosSystem:
         self.network.run(stop_when=predicate, max_events=max_events)
 
     @property
-    def gm_primary(self) -> GroupManagerElement:
-        return self.gm_elements[0]
-
-    @property
     def telemetry(self):
         """The deployment-wide Telemetry (a no-op unless enabled)."""
         return self.network.telemetry

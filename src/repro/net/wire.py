@@ -12,21 +12,24 @@ to an equal object, so
   address space could deliver is a bug the real wire would surface as a
   crash, so the oracle surfaces it first.
 
-The payload bytes are the canonical TLV scheme of
-:mod:`repro.crypto.encoding`, with a registered dataclass written as the
-mapping ``{"__wire__": <name>, "f": {<field>: <value>...}}`` (every field,
-including ``auth`` material, which the *signed* canonical form deliberately
-excludes — the wire must carry it). The codec is one-pass both ways:
+The payload bytes are the canonical TLV of :mod:`repro.crypto.encoding`,
+written and parsed by that module's one writer and one parser. This module
+adds only what is wire-specific, and plugs it into them:
 
-* **encode** — each registered class compiles, once, an encoder that knows
-  its sorted field keys and the constant envelope bytes around them, so a
-  message costs one attribute fetch and one atom encoding per field;
-* **decode** — the parser rebuilds registered dataclasses as it meets
-  their envelopes, restoring tuple-typed fields with coercers compiled
-  from the class's type hints, so a round-tripped message is ``==`` to the
-  original and re-encodes byte-identically.
+* **the envelope** — a registered dataclass is written as the mapping
+  ``{"__wire__": <name>, "f": {<field>: <value>...}}`` (every field,
+  including ``auth`` material, which the *signed* form deliberately
+  excludes — the wire must carry it). Each registered class compiles, once,
+  an encoder that knows its sorted field keys and the constant envelope
+  bytes around them, and sits in the wire's own encoder table;
+* **the rebuild** — the shared parser hands each envelope it meets to the
+  class's compiled decoder, which restores tuple-typed fields with coercers
+  compiled from the type hints, so a round-tripped message is ``==`` to the
+  original and re-encodes byte-identically;
+* **the datagram header** below.
 
-Every malformed input — truncated, bit-flipped, wrongly shaped — raises
+Every malformed input — truncated, bit-flipped, wrongly shaped, or nested
+deeper than :data:`repro.crypto.encoding.MAX_DEPTH` — raises
 :class:`WireCodecError` and nothing else: the payload comes from a peer
 that may be Byzantine.
 
@@ -46,94 +49,25 @@ import struct
 import typing
 from typing import Any, Callable
 
-_U32 = struct.Struct(">I")
-_U32X2 = struct.Struct(">II")
-_F64 = struct.Struct(">d")
+from repro.crypto.encoding import _U32, CanonicalError, _decode, _enc_str, _EncoderTable
+
 _ADDRESS = struct.Struct(">HH")
 
-# Tag bytes of the canonical TLV scheme, as ints (what ``raw[pos]`` yields).
-_N, _T, _F, _I, _D, _S, _B, _L, _M = b"NTFIDSBLM"
 
-
-class WireCodecError(ValueError):
+class WireCodecError(CanonicalError):
     """Payload cannot cross a real process boundary."""
 
 
 # -- encoding ----------------------------------------------------------------
 
 
-def _enc_none(value: None) -> bytes:
-    return b"N"
+def _unregistered(cls: type) -> Callable[[Any], bytes]:
+    raise TypeError(f"{cls.__name__} is not a registered wire type")
 
 
-def _enc_bool(value: bool) -> bytes:
-    return b"T" if value else b"F"
-
-
-def _enc_int(value: int) -> bytes:
-    body = str(value).encode("ascii")
-    return b"I" + _U32.pack(len(body)) + body
-
-
-def _enc_float(value: float) -> bytes:
-    if value != value:
-        raise WireCodecError("cannot encode NaN")
-    return b"D" + _F64.pack(value)
-
-
-def _enc_str(value: str) -> bytes:
-    body = value.encode("utf-8")
-    return b"S" + _U32.pack(len(body)) + body
-
-
-def _enc_bytes(value: bytes) -> bytes:
-    return b"B" + _U32.pack(len(value)) + bytes(value)
-
-
-def _enc_sequence(value: list | tuple) -> bytes:
-    body = b"".join([_ENCODERS[type(item)](item) for item in value])
-    return b"L" + _U32X2.pack(len(body) + 4, len(value)) + body
-
-
-def _enc_mapping(value: dict) -> bytes:
-    parts = []
-    for key in sorted(value):
-        if not isinstance(key, str):
-            raise WireCodecError(f"dict keys must be str, got {type(key).__name__}")
-        item = value[key]
-        parts.append(_enc_str(key) + _ENCODERS[type(item)](item))
-    body = b"".join(parts)
-    return b"M" + _U32X2.pack(len(body) + 4, len(value)) + body
-
-
-#: Builtin encoders in canonical precedence order; subclasses resolve to the
-#: first base they are an instance of (bool before int).
-_BUILTIN_ENCODERS: tuple[tuple[type, Callable[[Any], bytes]], ...] = (
-    (type(None), _enc_none),
-    (bool, _enc_bool),
-    (int, _enc_int),
-    (float, _enc_float),
-    (str, _enc_str),
-    (bytes, _enc_bytes),
-    (bytearray, _enc_bytes),
-    (list, _enc_sequence),
-    (tuple, _enc_sequence),
-    (dict, _enc_mapping),
-)
-
-
-class _EncoderTable(dict):
-    """``type -> encoder``; a miss resolves subclasses of the builtins."""
-
-    def __missing__(self, cls: type) -> Callable[[Any], bytes]:
-        for base, encoder in _BUILTIN_ENCODERS:
-            if issubclass(cls, base):
-                self[cls] = encoder
-                return encoder
-        raise WireCodecError(f"{cls.__name__} is not a registered wire type")
-
-
-_ENCODERS = _EncoderTable(_BUILTIN_ENCODERS)
+#: The wire's writer: builtins as in the signed form, registered dataclasses
+#: as their compiled envelope encoders, anything else refused.
+_ENCODERS = _EncoderTable(_unregistered)
 
 
 def _compile_encoder(cls: type, name: str) -> Callable[[Any], bytes]:
@@ -168,74 +102,6 @@ def _compile_encoder(cls: type, name: str) -> Callable[[Any], bytes]:
 
 
 # -- decoding ----------------------------------------------------------------
-
-_WIRE_KEY = _enc_str("__wire__")
-_FIELDS_KEY = _enc_str("f")
-
-
-def _parse(raw: bytes, pos: int) -> tuple[Any, int]:
-    """One canonical value at ``pos``; returns it and the position after it.
-
-    Registered envelopes come back as their dataclasses. Out-of-range reads
-    surface as ``IndexError``/``struct.error``, which the public entry
-    points turn into :class:`WireCodecError`.
-    """
-    tag = raw[pos]
-    if tag == _B or tag == _S or tag == _I:
-        start = pos + 5
-        end = start + _U32.unpack_from(raw, pos + 1)[0]
-        if end > len(raw):
-            raise WireCodecError("truncated canonical body")
-        if tag == _B:
-            return raw[start:end], end
-        if tag == _S:
-            return raw[start:end].decode("utf-8"), end
-        return int(raw[start:end]), end
-    if tag == _M or tag == _L:
-        length, count = _U32X2.unpack_from(raw, pos + 1)
-        if length < 4:
-            raise WireCodecError("container body too short")
-        end = pos + 5 + length
-        if end > len(raw):
-            raise WireCodecError("truncated canonical body")
-        cursor = pos + 9
-        if tag == _L:
-            items = []
-            for _ in range(count):
-                item, cursor = _parse(raw, cursor)
-                items.append(item)
-            if cursor != end:
-                raise WireCodecError("list body length mismatch")
-            return items, end
-        if count == 2 and raw.startswith(_WIRE_KEY, cursor):
-            name, after = _parse(raw, cursor + len(_WIRE_KEY))
-            if raw.startswith(_FIELDS_KEY, after):
-                fields, cursor = _parse(raw, after + len(_FIELDS_KEY))
-                if cursor != end:
-                    raise WireCodecError("dict body length mismatch")
-                return _rebuild(name, fields), end
-        mapping = {}
-        for _ in range(count):
-            # Keys are strings: parse them inline, not through a call.
-            if raw[cursor] != _S:
-                raise WireCodecError("dict key is not a string")
-            start = cursor + 5
-            cursor = start + _U32.unpack_from(raw, cursor + 1)[0]
-            if cursor > end:
-                raise WireCodecError("truncated dict key")
-            mapping[raw[start:cursor].decode("utf-8")], cursor = _parse(raw, cursor)
-        if cursor != end:
-            raise WireCodecError("dict body length mismatch")
-        return mapping, end
-    if tag == _N:
-        return None, pos + 1
-    if tag == _T:
-        return True, pos + 1
-    if tag == _F:
-        return False, pos + 1
-    if tag == _D:
-        return _F64.unpack_from(raw, pos + 1)[0], pos + 9
-    raise WireCodecError(f"unknown canonical tag {raw[pos:pos + 1]!r}")
 
 
 def _rebuild(name: Any, fields: Any) -> Any:
@@ -312,6 +178,10 @@ def _compile_decoder(cls: type, name: str) -> Callable[[dict], Any]:
     return decode
 
 
+#: The shared parser's hook for registered envelopes.
+_ENVELOPE = (_enc_str("__wire__"), _enc_str("f"), _rebuild)
+
+
 # -- registry ----------------------------------------------------------------
 
 _REGISTRY: dict[str, type] = {}
@@ -340,15 +210,12 @@ def registered_wire_types() -> dict[str, type]:
 
 # -- public codec --------------------------------------------------------------
 
-#: What a malformed payload can raise inside the parser or a constructor.
-_MALFORMED = (ValueError, TypeError, IndexError, struct.error, RecursionError)
-
 
 def encode_wire_payload(payload: Any) -> bytes:
     """Canonical bytes for one cross-process payload (object or plain value)."""
     try:
         return _ENCODERS[type(payload)](payload)
-    except _MALFORMED as exc:
+    except (ValueError, TypeError, struct.error, RecursionError) as exc:
         raise WireCodecError(
             f"payload {type(payload).__name__} is not wire-encodable: {exc}"
         ) from exc
@@ -356,17 +223,12 @@ def encode_wire_payload(payload: Any) -> bytes:
 
 def decode_wire_payload(raw: bytes) -> Any:
     """Inverse of :func:`encode_wire_payload`; raises only :class:`WireCodecError`."""
-    if type(raw) is not bytes:
-        raw = bytes(raw)
     try:
-        value, end = _parse(raw, 0)
+        return _decode(raw, _ENVELOPE)
     except WireCodecError:
         raise
-    except _MALFORMED as exc:
-        raise WireCodecError(f"malformed wire payload: {exc!r}") from exc
-    if end != len(raw):
-        raise WireCodecError(f"trailing bytes after wire payload at {end}")
-    return value
+    except CanonicalError as exc:
+        raise WireCodecError(f"malformed wire payload: {exc}") from exc
 
 
 def assert_wire_encodable(payload: Any) -> bytes:

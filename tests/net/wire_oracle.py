@@ -2,8 +2,9 @@
 
 * :func:`oracle_bytes` is the original two-step wire encoder: translate a
   payload into the generic ``{"__wire__": name, "f": {...}}`` shape, then
-  run the canonical TLV encoder over it. The compiled codec must put the
-  same bytes on the wire.
+  run the test-only reference TLV writer (:mod:`tests.crypto.tlv_oracle`)
+  over it, so the shared writer is never compared with itself. The
+  compiled codec must put the same bytes on the wire.
 * :func:`message_strategy` draws messages of one registered type, built
   field by field from the dataclass's type hints.
 """
@@ -14,8 +15,8 @@ import typing
 
 from hypothesis import strategies as st
 
-from repro.crypto.encoding import canonical_bytes
 from repro.net.wire import registered_wire_types
+from tests.crypto.tlv_oracle import reference_bytes
 
 REGISTRY = registered_wire_types()
 NAMES = {cls: name for name, cls in REGISTRY.items()}
@@ -39,7 +40,7 @@ def oracle_shape(value):
 
 
 def oracle_bytes(value) -> bytes:
-    return canonical_bytes(oracle_shape(value))
+    return reference_bytes(oracle_shape(value))
 
 
 def tuple_fields(cls) -> list[str]:
